@@ -234,8 +234,10 @@ type evaluator interface {
 
 // parallelEval evaluates candidates across a bounded worker pool. Each
 // candidate runs on a fully isolated pipeline (own filesystem, kernel, and
-// pooled analyzer), so workers share no mutable state and the per-candidate
-// result is independent of scheduling.
+// pooled analyzer), so workers share no mutable state except the
+// concurrency-safe sync.Pools that recycle vfs blocks and executor scratch,
+// whose contents never reach a result. The per-candidate result is
+// independent of scheduling.
 type parallelEval struct {
 	lay     *layout
 	dir     string
@@ -279,12 +281,23 @@ func (e *parallelEval) eval(progs []syz.Program) []*candidate {
 // result equal to a serial replay.
 func evalOne(lay *layout, dir string, prog syz.Program) *candidate {
 	an := harness.AcquireAnalyzer(coverage.DefaultOptions())
-	k := kernel.New(vfs.New(vfs.DefaultConfig()), kernel.Options{})
+	runFresh(an, dir, prog)
+	return &candidate{prog: prog, an: an, hits: lay.hitsOf(an)}
+}
+
+// runFresh executes prog on a fresh filesystem and kernel with an as the
+// sink, then releases the filesystem's data blocks back to the vfs pool:
+// the pipeline is thrown away, and the analyzer holds counters, never
+// block references, so the next candidate reuses the memory instead of
+// allocating its working set again.
+func runFresh(an *coverage.Analyzer, dir string, prog syz.Program) {
+	fs := vfs.New(vfs.DefaultConfig())
+	k := kernel.New(fs, kernel.Options{})
 	p := k.NewProc(kernel.ProcOptions{Cred: vfs.Root})
 	setupDirs(p, dir, prog)
 	k.SetSink(an)
 	syz.Execute(p, []syz.Program{prog})
-	return &candidate{prog: prog, an: an, hits: lay.hitsOf(an)}
+	fs.Release()
 }
 
 // setupDirs creates the working directory and the parent directory of every
@@ -325,11 +338,7 @@ func Replay(progs []syz.Program, dir string) *coverage.Analyzer {
 	}
 	an := coverage.NewAnalyzer(coverage.DefaultOptions())
 	for _, prog := range progs {
-		k := kernel.New(vfs.New(vfs.DefaultConfig()), kernel.Options{})
-		p := k.NewProc(kernel.ProcOptions{Cred: vfs.Root})
-		setupDirs(p, dir, prog)
-		k.SetSink(an)
-		syz.Execute(p, []syz.Program{prog})
+		runFresh(an, dir, prog)
 	}
 	return an
 }

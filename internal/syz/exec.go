@@ -2,6 +2,7 @@ package syz
 
 import (
 	"fmt"
+	"sync"
 
 	"iocov/internal/kernel"
 	"iocov/internal/suites/workload"
@@ -149,6 +150,8 @@ type ExecResult struct {
 // attaching an analyzer to the kernel yields full input+output coverage.
 func Execute(p *kernel.Proc, progs []Program) ExecResult {
 	var res ExecResult
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
 	for _, prog := range progs {
 		bindings := make(map[int]int)
 		for _, c := range prog.Calls {
@@ -157,7 +160,7 @@ func Execute(p *kernel.Proc, progs []Program) ExecResult {
 				res.Skipped++
 				continue
 			}
-			ret, err := executeCall(p, c, sig, bindings)
+			ret, err := executeCall(p, c, sig, bindings, s)
 			res.Executed++
 			if err != sys.OK {
 				res.Failures++
@@ -214,7 +217,7 @@ func (v argView) fd(kind string) int {
 	return int(n)
 }
 
-func executeCall(p *kernel.Proc, c Call, sig []string, bindings map[int]int) (int64, sys.Errno) {
+func executeCall(p *kernel.Proc, c Call, sig []string, bindings map[int]int, s *scratch) (int64, sys.Errno) {
 	v := argView{c: c, sig: sig, bindings: bindings}
 	switch c.Name {
 	case "open":
@@ -227,10 +230,10 @@ func executeCall(p *kernel.Proc, c Call, sig []string, bindings map[int]int) (in
 		fd, e := p.Creat(v.str("path"), uint32(v.num("mode")))
 		return int64(fd), e
 	case "read":
-		n, e := p.Read(v.fd("fd"), make([]byte, clampLen(v.num("count"))))
+		n, e := p.Read(v.fd("fd"), s.buf(clampLen(v.num("count"))))
 		return int64(n), e
 	case "pread64":
-		n, e := p.Pread64(v.fd("fd"), make([]byte, clampLen(v.num("count"))), v.num("offset"))
+		n, e := p.Pread64(v.fd("fd"), s.buf(clampLen(v.num("count"))), v.num("offset"))
 		return int64(n), e
 	case "write":
 		n, e := p.Write(v.fd("fd"), zeroBuf(clampLen(v.num("count"))))
@@ -268,13 +271,13 @@ func executeCall(p *kernel.Proc, c Call, sig []string, bindings map[int]int) (in
 	case "fsetxattr":
 		return 0, p.Fsetxattr(v.fd("fd"), v.str("name"), zeroBuf(clampLen(v.num("size"))), int(v.num("xflags")))
 	case "getxattr":
-		n, e := p.Getxattr(v.str("path"), v.str("name"), make([]byte, clampLen(v.num("size"))))
+		n, e := p.Getxattr(v.str("path"), v.str("name"), s.buf(clampLen(v.num("size"))))
 		return int64(n), e
 	case "lgetxattr":
-		n, e := p.Lgetxattr(v.str("path"), v.str("name"), make([]byte, clampLen(v.num("size"))))
+		n, e := p.Lgetxattr(v.str("path"), v.str("name"), s.buf(clampLen(v.num("size"))))
 		return int64(n), e
 	case "fgetxattr":
-		n, e := p.Fgetxattr(v.fd("fd"), v.str("name"), make([]byte, clampLen(v.num("size"))))
+		n, e := p.Fgetxattr(v.fd("fd"), v.str("name"), s.buf(clampLen(v.num("size"))))
 		return int64(n), e
 	default:
 		panic(fmt.Sprintf("syz: signature table and executor out of sync for %s", c.Name))
@@ -304,8 +307,34 @@ func clampLen(n int64) int64 {
 // zeroBuf returns an n-byte all-zero buffer sliced from the process-wide
 // shared zero arena. Strictly read-only: only write-side payloads (write,
 // pwrite64, setxattr values — all copied by the kernel before it returns)
-// may use it; read-side buffers are written by the kernel and must stay
-// private allocations.
+// may use it. Read-side buffers are written by the kernel, so they come
+// from the calling Execute's scratch instead, which is private to its
+// goroutine.
 func zeroBuf(n int64) []byte {
 	return workload.NewSharedBuf(n).Get(n)
+}
+
+// scratch is one Execute's read-side buffer: read, pread64 and the
+// getxattr family receive a slice of it. The kernel writes into the slice
+// and the executor discards the bytes, so one buffer serves every call of
+// the run; only its length is traced (as count/size), never its contents.
+// Evolve drives read counts toward MaxDataLen, so allocating per call would
+// put up to 64 MiB on the heap per read.
+type scratch struct{ b []byte }
+
+// scratchPool recycles scratch buffers across Execute calls. An Execute
+// holds its scratch exclusively from Get to Put.
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// buf returns an n-byte slice of the scratch, growing it to the next power
+// of two (at most MaxDataLen, itself a power of two) when it is too small.
+func (s *scratch) buf(n int64) []byte {
+	if int64(cap(s.b)) < n {
+		size := int64(1)
+		for size < n {
+			size <<= 1
+		}
+		s.b = make([]byte, size)
+	}
+	return s.b[:n]
 }

@@ -1,12 +1,14 @@
 package syz
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"iocov/internal/coverage"
 	"iocov/internal/kernel"
 	"iocov/internal/sys"
+	"iocov/internal/trace"
 	"iocov/internal/vfs"
 )
 
@@ -118,5 +120,74 @@ func TestConvertEverySignature(t *testing.T) {
 	}
 	if an.Input("read", "pos").Count("=0") != 1 {
 		t.Errorf("pread pos = %v", an.Input("read", "pos").Counts)
+	}
+}
+
+// scratchReuseProgram reads through one Execute's scratch with shrinking
+// sizes: a 64 KiB getxattr grows it, then a smaller read, pread64 and an
+// undersized getxattr take shorter slices of the same buffer.
+const scratchReuseProgram = `
+r0 = open(&(0x7f00)='/f\x00', 0x42, 0x1b6)
+write(r0, &(0x7f00)="00", 0x3000)
+setxattr(&(0x7f00)='/f\x00', &(0x7f00)='user.big\x00', &(0x7f00)="00", 0x8000, 0x0)
+getxattr(&(0x7f00)='/f\x00', &(0x7f00)='user.big\x00', &(0x7f00), 0x10000)
+lseek(r0, 0x0, 0x0)
+read(r0, &(0x7f00), 0x100)
+pread64(r0, &(0x7f00), 0x20, 0x2ff0)
+getxattr(&(0x7f00)='/f\x00', &(0x7f00)='user.big\x00', &(0x7f00), 0x10)
+close(r0)
+`
+
+// TestExecuteScratchMatchesFreshBuffers runs scratchReuseProgram through
+// Execute and the same calls through the kernel with a fresh buffer each,
+// and requires identical traces: the scratch may change where read-side
+// bytes land, never the traced count/size or the return values.
+func TestExecuteScratchMatchesFreshBuffers(t *testing.T) {
+	progs, err := Parse(strings.NewReader(scratchReuseProgram))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := trace.NewCollector()
+	k := kernel.New(vfs.New(vfs.DefaultConfig()), kernel.Options{Sink: got})
+	if res := Execute(k.NewProc(kernel.ProcOptions{Cred: vfs.Root}), progs); res.Skipped != 0 {
+		t.Fatalf("skipped %d calls", res.Skipped)
+	}
+
+	want := trace.NewCollector()
+	k = kernel.New(vfs.New(vfs.DefaultConfig()), kernel.Options{Sink: want})
+	p := k.NewProc(kernel.ProcOptions{Cred: vfs.Root})
+	fd, _ := p.Open("/f", 0x42, 0x1b6)
+	_, _ = p.Write(fd, make([]byte, 0x3000))
+	_ = p.Setxattr("/f", "user.big", make([]byte, 0x8000), 0)
+	_, _ = p.Getxattr("/f", "user.big", make([]byte, 0x10000))
+	_, _ = p.Lseek(fd, 0, 0)
+	_, _ = p.Read(fd, make([]byte, 0x100))
+	_, _ = p.Pread64(fd, make([]byte, 0x20), 0x2ff0)
+	_, _ = p.Getxattr("/f", "user.big", make([]byte, 0x10))
+	_ = p.Close(fd)
+
+	if !reflect.DeepEqual(got.Events(), want.Events()) {
+		t.Fatalf("Execute trace differs from fresh-buffer trace:\n got %+v\nwant %+v", got.Events(), want.Events())
+	}
+	// Spot-check the read side so a trace that lost its arguments cannot
+	// pass by matching an equally broken reference.
+	type obs struct {
+		key      string
+		arg, ret int64
+		errno    sys.Errno
+	}
+	wantObs := map[int]obs{
+		3: {"size", 0x10000, 0x8000, sys.OK},
+		5: {"count", 0x100, 0x100, sys.OK},
+		6: {"count", 0x20, 0x10, sys.OK},
+		7: {"size", 0x10, 0, sys.ERANGE},
+	}
+	evs := got.Events()
+	for i, w := range wantObs {
+		ev := &evs[i]
+		if v, _ := ev.Arg(w.key); v != w.arg || ev.Err != w.errno || (w.errno == sys.OK && ev.Ret != w.ret) {
+			t.Errorf("event %d %s: %s=%d ret=%d err=%v, want %s=%d ret=%d err=%v",
+				i, ev.Name, w.key, v, ev.Ret, ev.Err, w.key, w.arg, w.ret, w.errno)
+		}
 	}
 }

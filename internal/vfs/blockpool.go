@@ -13,14 +13,25 @@ import "sync"
 // Safety argument for sharing one pool across FS instances: a block slice
 // never escapes the owning FS's mutex. ReadAt/WriteAt copy bytes in and
 // out, Clone deep-copies every block, and no accessor returns a block
-// slice. A block is returned to the pool only at the two points where its
-// map entry is dropped (truncate shrink, releaseInode), after which nothing
-// references it.
+// slice. A block is returned to the pool only at the three points where
+// its map entry is dropped (truncate shrink, releaseInode, FS.Release),
+// after which nothing references it. FS.Release retires a whole
+// filesystem at once and comes with a stronger contract: the FS must not
+// be used after Release. Its files have lost their data and its space
+// accounting no longer matches what is stored.
 //
 // Only the default 4 KiB geometry is pooled; filesystems configured with
 // another block size fall back to plain allocation. Pool entries are dirty:
 // newBlock zeroes them on reuse unless the caller is about to overwrite the
 // whole block.
+//
+// FS.Release also recycles the block maps of large files. A map indexing
+// a 64 MiB file is itself about 1 MiB, which a throwaway filesystem would
+// otherwise allocate again for every large write. Only maps of at least
+// bigMapBlocks entries are pooled, and only a first write that allocates
+// that many blocks takes one: a large map handed to a small file would
+// make every range over the map (truncate, release, clone) scan a table
+// sized for the large one.
 
 // pooledBlockSize matches DefaultConfig().BlockSize.
 const pooledBlockSize = 4096
@@ -28,6 +39,23 @@ const pooledBlockSize = 4096
 // blockPool holds retired *[pooledBlockSize]byte blocks. The array-pointer
 // form keeps Put from boxing a slice header on every call.
 var blockPool sync.Pool
+
+// bigMapBlocks is the smallest block map Release pools (1 MiB of data).
+const bigMapBlocks = 256
+
+// blockMapPool holds emptied block maps of at least bigMapBlocks entries.
+var blockMapPool sync.Pool
+
+// newBlockMap returns an empty block map for a file about to receive n
+// blocks, recycled from a released filesystem when n is large.
+func newBlockMap(n int64) map[int64][]byte {
+	if n >= bigMapBlocks {
+		if m, ok := blockMapPool.Get().(map[int64][]byte); ok {
+			return m
+		}
+	}
+	return make(map[int64][]byte, n)
+}
 
 // newBlock returns a bs-byte block. zero says the caller needs zero-filled
 // contents (a partial write or an explicit preallocation); callers that
@@ -54,5 +82,40 @@ func freeBlock(bs int64, blk []byte) {
 	if bs != pooledBlockSize || len(blk) != pooledBlockSize {
 		return
 	}
+	if freeBlockHook != nil {
+		freeBlockHook(blk)
+	}
 	blockPool.Put((*[pooledBlockSize]byte)(blk))
+}
+
+// freeBlockHook, when non-nil, observes every block freeBlock pools. Only
+// this package's tests set it, to prove each block is retired exactly once.
+var freeBlockHook func(blk []byte)
+
+// Release returns every data block of the filesystem to the block pool,
+// and the block maps of large files to the map pool. It is for throwaway
+// filesystems — one per evolve candidate — whose whole working set would
+// otherwise be left to the garbage collector and re-allocated by the next
+// instance. Each inode's block map is dropped as it is freed, so a
+// hard-linked inode reached twice is freed once and a second Release frees
+// nothing. The FS must not be used after Release.
+func (fs *FS) Release() {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	stack := []*Inode{fs.root}
+	for len(stack) > 0 {
+		ino := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, blk := range ino.blocks {
+			freeBlock(fs.cfg.BlockSize, blk)
+		}
+		if len(ino.blocks) >= bigMapBlocks {
+			clear(ino.blocks)
+			blockMapPool.Put(ino.blocks)
+		}
+		ino.blocks = nil
+		for _, child := range ino.children {
+			stack = append(stack, child)
+		}
+	}
 }

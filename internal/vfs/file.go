@@ -236,7 +236,7 @@ func (fs *FS) WriteAt(cred Cred, ino *Inode, buf []byte, off int64, nonblock boo
 		}
 	}
 	if ino.blocks == nil {
-		ino.blocks = make(map[int64][]byte)
+		ino.blocks = newBlockMap(newBlocks)
 	}
 	var copied int64
 	for copied < int64(len(buf)) {
@@ -395,7 +395,7 @@ func (fs *FS) Fallocate(cred Cred, ino *Inode, mode int, off, length int64) sys.
 			return e
 		}
 		if ino.blocks == nil {
-			ino.blocks = make(map[int64][]byte)
+			ino.blocks = newBlockMap(newBlocks)
 		}
 		for bi := firstBlk; bi <= lastBlk; bi++ {
 			if _, ok := ino.blocks[bi]; !ok {
