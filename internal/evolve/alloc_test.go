@@ -21,9 +21,11 @@ close(r0)
 
 // TestEvalOneSteadyStateBytes pins the candidate-memory recycling: once a
 // candidate has run, the next one that writes and reads 64 MiB must find
-// its file blocks in the vfs pool (the previous FS was released) and its
-// read buffer in the executor's scratch pool. Allocating either afresh
-// costs 64 MiB, so the 1 MiB budget catches the loss of either half.
+// its read buffer in the executor's scratch pool and its block map in the
+// vfs map pool (the previous FS was released). The written zeros share
+// vfs's zero block and allocate nothing. A fresh read buffer costs
+// 64 MiB and a fresh block map about 1.3 MB, so the 1 MiB budget catches
+// the loss of either half.
 func TestEvalOneSteadyStateBytes(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation measurements are unreliable under -race")

@@ -12,18 +12,29 @@ import "sync"
 //
 // Safety argument for sharing one pool across FS instances: a block slice
 // never escapes the owning FS's mutex. ReadAt/WriteAt copy bytes in and
-// out, Clone deep-copies every block, and no accessor returns a block
-// slice. A block is returned to the pool only at the three points where
-// its map entry is dropped (truncate shrink, releaseInode, FS.Release),
-// after which nothing references it. FS.Release retires a whole
-// filesystem at once and comes with a stronger contract: the FS must not
-// be used after Release. Its files have lost their data and its space
+// out, Clone deep-copies every private block, and no accessor returns a
+// block slice. A block is returned to the pool only at the three points
+// where its map entry is dropped (truncate shrink, releaseInode,
+// FS.Release), after which nothing references it. FS.Release retires a
+// whole filesystem at once and comes with a stronger contract: the FS must
+// not be used after Release. Its files have lost their data and its space
 // accounting no longer matches what is stored.
 //
-// Only the default 4 KiB geometry is pooled; filesystems configured with
-// another block size fall back to plain allocation. Pool entries are dirty:
-// newBlock zeroes them on reuse unless the caller is about to overwrite the
-// whole block.
+// A block of zeros is not stored privately at all. Every map entry whose
+// contents are all zero — a zero-filled write, or a preallocation — refers
+// to the one package-level zeroBlock, as Linux maps untouched anonymous
+// memory to ZERO_PAGE. The entry stays in the map, so Stat.Blocks and the
+// space and quota accounting are what a private block gives. The shared
+// block is read by every FS at once and is safe only because it is never
+// written and never pooled. Four sites check for it: WriteAt replaces it
+// with a private block before writing non-zero bytes (copy-on-write),
+// truncateLocked skips zeroing its tail, freeBlock never pools it, and
+// cloneInode shares it instead of copying it.
+//
+// Only the default 4 KiB geometry is pooled and shares the zero block;
+// filesystems configured with another block size fall back to plain
+// allocation. Pool entries are dirty: newBlock zeroes them on reuse unless
+// the caller is about to overwrite the whole block.
 //
 // FS.Release also recycles the block maps of large files. A map indexing
 // a 64 MiB file is itself about 1 MiB, which a throwaway filesystem would
@@ -39,6 +50,15 @@ const pooledBlockSize = 4096
 // blockPool holds retired *[pooledBlockSize]byte blocks. The array-pointer
 // form keeps Put from boxing a slice header on every call.
 var blockPool sync.Pool
+
+// zeroBlock is the block every all-zero map entry of the pooled geometry
+// refers to. It is never written and never pooled.
+var zeroBlock [pooledBlockSize]byte
+
+// isZeroBlock reports whether blk is the shared zeroBlock.
+func isZeroBlock(blk []byte) bool {
+	return len(blk) == pooledBlockSize && &blk[0] == &zeroBlock[0]
+}
 
 // bigMapBlocks is the smallest block map Release pools (1 MiB of data).
 const bigMapBlocks = 256
@@ -74,12 +94,22 @@ func newBlock(bs int64, zero bool) []byte {
 	return make([]byte, pooledBlockSize)
 }
 
+// zeroFilledBlock returns a block that reads as zeros: the shared zeroBlock
+// in the pooled geometry, a fresh allocation in any other.
+func zeroFilledBlock(bs int64) []byte {
+	if bs == pooledBlockSize {
+		return zeroBlock[:]
+	}
+	return make([]byte, bs)
+}
+
 // freeBlock retires a block dropped from an inode's block map. Blocks of a
-// non-pooled geometry are left to the garbage collector.
+// non-pooled geometry are left to the garbage collector, and the shared
+// zeroBlock stays where it is.
 //
 //iocov:hotpath
 func freeBlock(bs int64, blk []byte) {
-	if bs != pooledBlockSize || len(blk) != pooledBlockSize {
+	if bs != pooledBlockSize || len(blk) != pooledBlockSize || isZeroBlock(blk) {
 		return
 	}
 	if freeBlockHook != nil {

@@ -8,9 +8,11 @@ import (
 )
 
 // TestReleaseFreesEachBlockOnce builds a tree with nested directories, a
-// sparse file, a multi-block file reachable through a hard link, and a
-// symlink, then checks that Release pools every allocated block exactly
-// once. A block pooled twice would later be handed to two inodes at once.
+// sparse file, a multi-block file reachable through a hard link, a
+// symlink, a zero-filled file and a preallocated range, then checks that
+// Release pools every private block exactly once and never pools the
+// shared zero block. A block pooled twice would later be handed to two
+// inodes at once; the zero block, pooled, would be handed out for writing.
 func TestReleaseFreesEachBlockOnce(t *testing.T) {
 	fs := newFS(t)
 	bs := fs.Config().BlockSize
@@ -22,8 +24,13 @@ func TestReleaseFreesEachBlockOnce(t *testing.T) {
 	if _, e := fs.WriteAt(Root, sparse, []byte("hole before me"), 10*bs, false); e != sys.OK {
 		t.Fatalf("sparse write: %v", e)
 	}
+	// Non-zero data, so that each of multi's four blocks is private.
 	multi := mustCreate(t, fs, "/a/multi")
-	if _, e := fs.WriteAt(Root, multi, make([]byte, 3*bs+100), 0, false); e != sys.OK {
+	data := make([]byte, 3*bs+100)
+	for i := range data {
+		data[i] = byte(i%251) + 1
+	}
+	if _, e := fs.WriteAt(Root, multi, data, 0, false); e != sys.OK {
 		t.Fatalf("multi write: %v", e)
 	}
 	if e := fs.Link(fs.Root(), Root, "/a/multi", "/a/b/hard"); e != sys.OK {
@@ -36,6 +43,14 @@ func TestReleaseFreesEachBlockOnce(t *testing.T) {
 	if _, e := fs.WriteAt(Root, top, []byte("x"), 0, false); e != sys.OK {
 		t.Fatalf("top write: %v", e)
 	}
+	zeros := mustCreate(t, fs, "/a/b/zeros")
+	if _, e := fs.WriteAt(Root, zeros, make([]byte, 2*bs), 0, false); e != sys.OK {
+		t.Fatalf("zeros write: %v", e)
+	}
+	pre := mustCreate(t, fs, "/a/pre")
+	if e := fs.Fallocate(Root, pre, 0, bs, 3*bs); e != sys.OK {
+		t.Fatalf("fallocate: %v", e)
+	}
 
 	want := map[*byte]bool{}
 	for _, ino := range []*Inode{sparse, multi, top} {
@@ -46,10 +61,25 @@ func TestReleaseFreesEachBlockOnce(t *testing.T) {
 	if len(want) != 1+4+1 {
 		t.Fatalf("allocated %d blocks, want 6", len(want))
 	}
+	shared := 0
+	for _, ino := range []*Inode{zeros, pre} {
+		for _, blk := range ino.blocks {
+			if !isZeroBlock(blk) {
+				t.Fatalf("inode %d holds a private block of zeros", ino.ino)
+			}
+			shared++
+		}
+	}
+	if shared != 2+3 {
+		t.Fatalf("zero-filled and preallocated files hold %d entries, want 5", shared)
+	}
 
 	freed := map[*byte]int{}
 	calls := 0
 	freeBlockHook = func(blk []byte) {
+		if isZeroBlock(blk) {
+			t.Error("Release pooled the shared zero block")
+		}
 		freed[&blk[0]]++
 		calls++
 	}
@@ -67,7 +97,7 @@ func TestReleaseFreesEachBlockOnce(t *testing.T) {
 			t.Errorf("block pooled %d times, want once", n)
 		}
 	}
-	for _, ino := range []*Inode{sparse, multi, top} {
+	for _, ino := range []*Inode{sparse, multi, top, zeros, pre} {
 		if ino.blocks != nil {
 			t.Errorf("inode %d keeps its block map after Release", ino.ino)
 		}

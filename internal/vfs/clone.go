@@ -3,8 +3,10 @@ package vfs
 import "iocov/internal/sys"
 
 // Clone deep-copies the filesystem: inodes, directory structure, file data,
-// and xattrs. The crash-consistency simulator uses clones as persistence
-// snapshots — the clone is what survives a simulated crash.
+// and xattrs. Entries referring to the shared zero block stay shared; the
+// clone's first non-zero write there gives it a private copy. The
+// crash-consistency simulator uses clones as persistence snapshots — the
+// clone is what survives a simulated crash.
 //
 // Open descriptors (which live in the kernel layer) are not part of a
 // filesystem and are therefore not cloned; region trackers and corruption
@@ -53,6 +55,10 @@ func cloneInode(in *Inode, parent *Inode) *Inode {
 	if in.blocks != nil {
 		out.blocks = make(map[int64][]byte, len(in.blocks))
 		for bi, blk := range in.blocks {
+			if isZeroBlock(blk) {
+				out.blocks[bi] = blk
+				continue
+			}
 			out.blocks[bi] = append([]byte(nil), blk...)
 		}
 	}

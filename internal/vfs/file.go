@@ -1,6 +1,7 @@
 package vfs
 
 import (
+	"bytes"
 	"fmt"
 
 	"iocov/internal/sys"
@@ -246,15 +247,24 @@ func (fs *FS) WriteAt(cred Cred, ino *Inode, buf []byte, off int64, nonblock boo
 		if rest := int64(len(buf)) - copied; chunk > rest {
 			chunk = rest
 		}
+		src := buf[copied : copied+chunk]
+		copied += chunk
 		blk, ok := ino.blocks[bi]
-		if !ok {
+		if !ok || isZeroBlock(blk) {
+			// Zeros written over a hole or the shared zero block leave a
+			// block of zeros, which the shared block already holds.
+			if bs == pooledBlockSize && bytes.Equal(src, zeroBlock[:chunk]) {
+				if !ok {
+					ino.blocks[bi] = zeroBlock[:]
+				}
+				continue
+			}
 			// A write covering the whole block overwrites every byte below,
 			// so a recycled block only needs zeroing for partial coverage.
 			blk = newBlock(bs, bo != 0 || chunk != bs)
 			ino.blocks[bi] = blk
 		}
-		copy(blk[bo:bo+chunk], buf[copied:copied+chunk])
-		copied += chunk
+		copy(blk[bo:bo+chunk], src)
 	}
 	if end > ino.size {
 		ino.size = end
@@ -340,7 +350,7 @@ func (fs *FS) truncateLocked(cred Cred, ino *Inode, length int64) sys.Errno {
 			_ = fs.chargeBlocks(cred, -freed)
 		}
 		if target%bs != 0 {
-			if blk, ok := ino.blocks[lastKeep]; ok {
+			if blk, ok := ino.blocks[lastKeep]; ok && !isZeroBlock(blk) {
 				tail := blk[target%bs:]
 				for i := range tail {
 					tail[i] = 0
@@ -399,7 +409,7 @@ func (fs *FS) Fallocate(cred Cred, ino *Inode, mode int, off, length int64) sys.
 		}
 		for bi := firstBlk; bi <= lastBlk; bi++ {
 			if _, ok := ino.blocks[bi]; !ok {
-				ino.blocks[bi] = newBlock(bs, true)
+				ino.blocks[bi] = zeroFilledBlock(bs)
 			}
 		}
 	}

@@ -18,7 +18,9 @@ type Inode struct {
 
 	size int64
 	// blocks holds file data as lazily allocated BlockSize chunks keyed by
-	// block index; unallocated blocks read as zeros (sparse files).
+	// block index; unallocated blocks read as zeros (sparse files). An
+	// allocated block of zeros refers to the shared, read-only zeroBlock
+	// (see blockpool.go) and is copied on its first non-zero write.
 	blocks map[int64][]byte
 
 	children map[string]*Inode
